@@ -52,7 +52,6 @@ func main() {
 		showTr   = flag.Bool("trace", false, "print a duration-annotated span tree of the query")
 		replay   = flag.String("replay", "", "build an empty index and feed this check-in stream (written by datagen -checkins) through the live ingest path instead of bulk-loading histories")
 		cacheB   = flag.Int64("cache-bytes", 64<<20, "shared aggregate/result cache size in bytes (0 disables)")
-		doFreeze = flag.Bool("freeze", true, "compile the index into its pointer-free flat layout before querying")
 		server   = flag.String("server", "", "query a running tarserve at this base URL instead of building a local index")
 		minLSN   = flag.Uint64("min-lsn", 0, "with -server: hold the query until the server has applied this LSN (read-your-writes against a replication follower)")
 	)
@@ -124,9 +123,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	}
-	if *doFreeze {
-		tr.Freeze()
 	}
 	leaves, internals := tr.NodeCount()
 	fmt.Printf("built %s over %s: %d effective POIs, %d leaf + %d internal nodes, height %d (%v)\n",

@@ -121,7 +121,6 @@ func main() {
 		trcOut  = flag.String("trace-out", "", "append finished span traces to this file as Chrome trace_event JSON")
 		sloSpec = flag.String("slo", "", `latency/error objectives, e.g. "query:p99<50ms,ingest:p99<100ms" (burn rates on /metrics)`)
 		snapV3  = flag.Bool("snapshot-v3", true, "write checkpoints in the flat snapshot-v3 format (section reads at startup, no rebuild); recovery reads either format")
-		freeze  = flag.Bool("freeze", true, "compile the index into its pointer-free flat layout after startup; queries traverse the frozen slabs")
 		follow  = flag.String("follow", "", "run as a replication follower of this leader base URL (requires -wal-dir and -repl-token)")
 		replTok = flag.String("repl-token", "", "shared replication secret: enables the leader's /v1/repl endpoints, authenticates a follower; empty disables replication")
 		shardOf = flag.String("shard-of", "", `serve spatial shard "i/N" of the data set (requires -shard-map); only POIs the map assigns to shard i are indexed`)
@@ -313,9 +312,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *freeze {
-			tr.Freeze()
-		}
 		if shardMap != nil {
 			srv.enableShard(&shard.Server{
 				Data:    shard.TreeViewer{Tree: tr},
@@ -407,14 +403,6 @@ func main() {
 		}
 	}
 
-	// A v3 checkpoint restores the frozen layout directly; otherwise (gob
-	// checkpoint, fresh build, or replay seeding) compile it now. With
-	// -freeze=false a pre-frozen recovery is dropped so the flag wins.
-	if *freeze && !store.Frozen() {
-		store.Freeze()
-	} else if !*freeze && store.Frozen() {
-		store.Unfreeze()
-	}
 	switch {
 	case *follow != "":
 		srv.setFollower(fopts.LeaderURL, wm, rm)

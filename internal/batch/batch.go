@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"tartree/internal/core"
-	"tartree/internal/rstar"
 	"tartree/internal/tia"
 )
 
@@ -87,7 +86,7 @@ func Process(t *core.Tree, queries []core.Query) ([]Result, core.QueryStats, err
 		}
 		if !rootCounted {
 			// The root is read once for the whole batch.
-			countNode(&stats, t.Root())
+			countNode(&stats, t.Height()-1)
 			rootCounted = true
 		}
 		states[i] = &runState{q: q, search: s}
@@ -103,27 +102,30 @@ func Process(t *core.Tree, queries []core.Query) ([]Result, core.QueryStats, err
 	for active > 0 {
 		// Greedy step: find the node that is the front entry of the most
 		// queues (Section 7.2), access it once and advance all of them.
-		freq := map[*rstar.Node]int{}
-		var best *rstar.Node
+		// Every search walks the same flat layout, so node ids identify
+		// nodes across queues.
+		freq := map[int32]int{}
+		best, bestLevel := int32(-1), 0
 		for _, st := range states {
 			if st.finished() {
 				continue
 			}
-			n := st.search.Peek().Node()
-			freq[n]++
-			if best == nil || freq[n] > freq[best] {
-				best = n
+			id, level := st.search.Peek().Child()
+			freq[id]++
+			if best < 0 || freq[id] > freq[best] {
+				best, bestLevel = id, level
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
-		countNode(&stats, best)
+		countNode(&stats, bestLevel)
 		for _, st := range states {
 			if st.finished() {
 				continue
 			}
-			if el := st.search.Peek(); el.Node() == best {
+			el := st.search.Peek()
+			if id, _ := el.Child(); id == best {
 				st.search.Pop()
 				if err := st.search.Expand(el); err != nil {
 					return nil, stats, err
@@ -210,8 +212,8 @@ func ProcessParallel(t *core.Tree, queries []core.Query, workers int) ([]Result,
 	return out, total, nil
 }
 
-func countNode(stats *core.QueryStats, n *rstar.Node) {
-	if n.Level == 0 {
+func countNode(stats *core.QueryStats, level int) {
+	if level == 0 {
 		stats.LeafAccesses++
 	} else {
 		stats.InternalAccesses++

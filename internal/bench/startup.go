@@ -26,9 +26,10 @@ var startupScales = []float64{0.05, 0.1, 0.2}
 // then times loading each with fresh disk B+-tree TIAs (best of three, so a
 // stray scheduling hiccup cannot fail the gate). Three correctness gates
 // ride along: the v3 load must arrive with the frozen layout installed, the
-// frozen and pointer traversals of the loaded tree must return identical
-// answers with identical node accesses, and the v2- and v3-loaded trees
-// must agree on every query's (POI, aggregate) ranking.
+// slabs as loaded and the slabs Freeze recompiles from the thawed pointer
+// tree must return identical answers with identical node accesses, and the
+// v2- and v3-loaded trees must agree on every query's (POI, aggregate)
+// ranking.
 //
 // The exported counters depend only on the data set — never on timing — so
 // benchdiff can gate on them:
@@ -104,26 +105,25 @@ func StartupExp(cfg Config) ([]Table, error) {
 
 		queries := env.data.Queries(cfg.queries(), defaultK, defaultAlpha, cfg.Seed+29)
 
-		// Gate: the frozen traversal must be the pointer traversal — same
-		// answers, same node accesses — on the very tree the server restarts
-		// into.
+		// Gate: the slabs decoded from disk must be the slabs Freeze
+		// compiles from the thawed pointer tree — same answers, same node
+		// accesses — on the very tree the server restarts into.
 		frozenStats, frozenRes, err := runStartupBatch(fromV3, queries)
 		if err != nil {
 			return nil, err
 		}
-		fromV3.Unfreeze()
-		pointerStats, pointerRes, err := runStartupBatch(fromV3, queries)
+		fromV3.Freeze()
+		recompiledStats, recompiledRes, err := runStartupBatch(fromV3, queries)
 		if err != nil {
 			return nil, err
 		}
-		fromV3.Freeze()
 		for i := range queries {
-			if err := sameResults(pointerRes[i], frozenRes[i]); err != nil {
-				return nil, fmt.Errorf("startup scale %.2f query %d: frozen vs pointer: %w", sc, i, err)
+			if err := sameResults(recompiledRes[i], frozenRes[i]); err != nil {
+				return nil, fmt.Errorf("startup scale %.2f query %d: loaded vs recompiled slabs: %w", sc, i, err)
 			}
 		}
-		if frozenStats != pointerStats {
-			return nil, fmt.Errorf("startup scale %.2f: frozen work %+v != pointer work %+v", sc, frozenStats, pointerStats)
+		if frozenStats != recompiledStats {
+			return nil, fmt.Errorf("startup scale %.2f: loaded-slab work %+v != recompiled-slab work %+v", sc, frozenStats, recompiledStats)
 		}
 
 		// Gate: both formats restore the same index — every query's ranked
@@ -168,7 +168,7 @@ func StartupExp(cfg Config) ([]Table, error) {
 }
 
 // startupWork is the exact query-work fingerprint compared between the
-// frozen and pointer traversals.
+// loaded and the recompiled slabs.
 type startupWork struct {
 	nodeAccesses int64
 	leafAccesses int64

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"tartree/internal/aggcache"
@@ -267,11 +268,13 @@ type Tree struct {
 	clock   int64                            // latest time observed
 	pending map[tia.Interval]map[int64]int64 // epoch → poi → count
 
-	// frozen is the flat compilation of rt installed by Freeze; queries that
-	// opt in (SearchOptions.AllowFrozen) traverse it instead of the pointer
-	// tree. Structural mutations drop it; check-in ingest does not (the
-	// shared aggregate handles observe new flushes, structure is untouched).
-	frozen *rstar.FlatTree
+	// frozen is the flat compilation of rt: the only structure best-first
+	// search walks. Structural mutations drop it; check-in ingest does not
+	// (the shared aggregate handles observe new flushes, structure is
+	// untouched). The next search recompiles it (see flat); freezeMu makes
+	// concurrent first searches compile it once.
+	frozen   atomic.Pointer[rstar.FlatTree]
+	freezeMu sync.Mutex
 
 	instr  *instruments   // nil unless Options.Metrics is set
 	traces *obs.TraceRing // nil unless Options.Traces is set
@@ -353,8 +356,8 @@ func (t *Tree) Height() int { return t.rt.Height() }
 // NodeCount returns the number of leaf and internal R-tree nodes.
 func (t *Tree) NodeCount() (leaves, internals int) { return t.rt.NodeCount() }
 
-// Root exposes the underlying R-tree root so query processors (best-first
-// search, BBS skyline, collective batches) can traverse and count accesses.
+// Root exposes the root of the pointer R-tree the flat layout is compiled
+// from, for structural inspection; searches walk the flat layout instead.
 func (t *Tree) Root() *rstar.Node { return t.rt.Root() }
 
 // Dims returns the index dimensionality (2 or 3).
@@ -452,7 +455,7 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	t.pois[p.ID] = st
 	st.inTree = true
 	t.invalidateCache()
-	t.frozen = nil
+	t.frozen.Store(nil)
 	return t.rt.Insert(rstar.Entry{
 		Rect: t.leafRect(st),
 		Item: rstar.Item(p.ID),
@@ -490,7 +493,7 @@ func (t *Tree) DeletePOI(id int64) (bool, error) {
 	if removed {
 		delete(t.pois, id)
 		t.invalidateCache()
-		t.frozen = nil
+		t.frozen.Store(nil)
 		if err := st.data.disk.Destroy(); err != nil {
 			return true, err
 		}
@@ -637,7 +640,7 @@ func currentAgg(m *tia.Mem, ts int64) (int64, bool) {
 // this as the remedy for drift as the LBSN grows (Section 8.2).
 func (t *Tree) Rebuild() error {
 	t.invalidateCache()
-	t.frozen = nil
+	t.frozen.Store(nil)
 	if err := t.refreshGlobals(); err != nil {
 		return err
 	}
@@ -667,7 +670,7 @@ func (t *Tree) RebuildBulk() error {
 		return t.Rebuild()
 	}
 	t.invalidateCache()
-	t.frozen = nil
+	t.frozen.Store(nil)
 	if err := t.refreshGlobals(); err != nil {
 		return err
 	}

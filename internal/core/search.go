@@ -186,28 +186,39 @@ func (sc *Scorer) acctPtr() *pagestore.IOAcct {
 // NewScorer prepares a scorer for q, reading the per-query aggregate
 // normalizer from the tree's global per-epoch-maximum TIA.
 func (t *Tree) NewScorer(q Query, stats *QueryStats, cache AggCache) (*Scorer, error) {
-	return t.newScorer(q, stats, cache, nil, t.opts.Cache, nil)
-}
-
-func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, tr *obs.Trace, shared *aggcache.Cache, ex *Explain) (*Scorer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if cache == nil {
-		cache = make(AggCache)
+	return t.newScorer(q, SearchOptions{Stats: stats, Cache: cache})
+}
+
+// newScorer is the one Scorer constructor. It takes the stats sink, the
+// query-local memo (a fresh one when nil), the trace and explain recorders
+// and the shared-cache opt-out from o, and uses o.Gmax as the normalizer
+// when set, otherwise reads it (counting the read into the stats). It does
+// not validate q.
+func (t *Tree) newScorer(q Query, o SearchOptions) (*Scorer, error) {
+	if o.Cache == nil {
+		o.Cache = make(AggCache)
 	}
 	sc := &Scorer{
 		t:       t,
 		q:       q,
 		qv:      t.scaled(q.X, q.Y),
-		stats:   stats,
-		cache:   cache,
-		shared:  shared,
-		trace:   tr,
-		explain: ex,
+		stats:   o.Stats,
+		cache:   o.Cache,
+		trace:   o.Trace,
+		explain: o.Explain,
 	}
-	if stats != nil {
-		sc.acct.IO = &stats.IO
+	if !o.NoCache {
+		sc.shared = t.opts.Cache
+	}
+	if o.Stats != nil {
+		sc.acct.IO = &o.Stats.IO
+	}
+	if o.Gmax != nil {
+		sc.gmax = *o.Gmax
+		return sc, nil
 	}
 	gmax, err := sc.maxAggregate()
 	if err != nil {
@@ -339,21 +350,18 @@ type Elem struct {
 	Entry      rstar.Entry
 	Score      float64
 	S0, S1     float64
-	childLevel int // level of the child node; -1 for leaf entries
-	// flat is the entry's id in the frozen slabs; meaningful only on the
-	// frozen path (Entry.Child stays nil there — the child is addressed
-	// through FlatTree.Children[flat] instead of a pointer).
-	flat int32
+	childLevel int   // level of the child node; -1 for leaf entries
+	child      int32 // child node id in the flat layout; -1 for leaf entries
 }
 
-// IsPOI reports whether the element is a leaf entry (an actual POI). It
-// keys off the recorded child level, which both the pointer and the frozen
-// path set, rather than the Child pointer only the former has.
-func (el *Elem) IsPOI() bool { return el.childLevel < 0 }
+// IsPOI reports whether the element is a leaf entry (an actual POI).
+func (el *Elem) IsPOI() bool { return el.child < 0 }
 
-// Node returns the child node of an internal element (nil for POIs). The
-// collective scheme uses pointer identity to detect shared front entries.
-func (el *Elem) Node() *rstar.Node { return el.Entry.Child }
+// Child returns the flat-layout id and level of an internal element's child
+// node (id -1 for POIs). Searches started on the same tree state share one
+// layout, so the collective scheme compares ids across them to detect
+// shared front entries.
+func (el *Elem) Child() (id int32, level int) { return el.child, el.childLevel }
 
 type elemHeap []*Elem
 
@@ -368,22 +376,18 @@ func (h *elemHeap) Pop() any          { o := *h; n := len(o); x := o[n-1]; *h = 
 // score order; the caller decides whether to Expand internal elements,
 // which lets the weight-adjustment and skyline algorithms prune subtrees.
 //
-// CountAccesses can be disabled by batch processors that account for
-// shared node accesses themselves.
+// The search walks the tree's flat layout (Tree.Freeze), compiled on demand
+// and fixed when the search starts: expansion reads int32 offsets into
+// contiguous slabs instead of chasing node pointers.
 type Search struct {
-	sc    *Scorer
-	queue elemHeap
-	stats *QueryStats
-	// ft, when non-nil, switches the traversal to the tree's frozen flat
-	// layout: expansion walks int32 offsets into contiguous slabs instead
-	// of chasing node pointers. Scoring, heap order, stats and explain
-	// accounting are shared with the pointer path, so the two paths produce
-	// identical results and identical counters (pinned by property test).
+	sc            *Scorer
+	queue         elemHeap
+	stats         *QueryStats
 	ft            *rstar.FlatTree
 	trace         *obs.Trace
 	explain       *Explain        // nil when EXPLAIN is off
 	ctx           context.Context // nil = never canceled
-	CountAccesses bool
+	countAccesses bool
 }
 
 // SearchOptions tunes NewSearchWith.
@@ -413,11 +417,6 @@ type SearchOptions struct {
 	// or past its deadline, Next returns an error wrapping ErrCanceled and
 	// the stats collected so far remain valid partial counts.
 	Ctx context.Context
-	// AllowFrozen lets the search traverse the tree's frozen flat layout
-	// when one is installed (Tree.Freeze); without one it silently runs the
-	// pointer path. Callers that rely on child-node pointer identity (the
-	// collective scheme compares Elem.Node across searches) leave it unset.
-	AllowFrozen bool
 }
 
 // NewSearch starts a best-first search for q. Reading the root node counts
@@ -428,54 +427,24 @@ func (t *Tree) NewSearch(q Query, stats *QueryStats, cache AggCache) (*Search, e
 
 // NewSearchWith starts a best-first search with explicit options.
 func (t *Tree) NewSearchWith(q Query, o SearchOptions) (*Search, error) {
-	shared := t.opts.Cache
-	if o.NoCache {
-		shared = nil
+	if err := q.Validate(); err != nil {
+		return nil, err
 	}
-	var sc *Scorer
-	var err error
-	if o.Gmax != nil {
-		sc, err = t.newScorerWithGmax(q, *o.Gmax, o.Stats, o.Cache, shared)
-		if sc != nil {
-			sc.trace = o.Trace
-			sc.explain = o.Explain
-		}
-	} else {
-		sc, err = t.newScorer(q, o.Stats, o.Cache, o.Trace, shared, o.Explain)
-	}
+	sc, err := t.newScorer(q, o)
 	if err != nil {
 		return nil, err
 	}
-	s := &Search{sc: sc, stats: o.Stats, trace: o.Trace, explain: o.Explain, ctx: o.Ctx, CountAccesses: !o.SkipAccessCounting}
-	if o.AllowFrozen {
-		if f := t.frozen; f != nil {
-			s.ft = f
-			root := f.Root()
-			s.countNodeAccess(int(root.Level))
-			for i := int32(0); i < root.Count; i++ {
-				if err := s.pushFlat(root.Start + i); err != nil {
-					return nil, err
-				}
-			}
-			return s, nil
-		}
-	}
-	root := t.rt.Root()
-	s.countNodeAccess(root.Level)
-	for _, e := range root.Entries {
-		if err := s.push(e); err != nil {
-			return nil, err
-		}
+	s := &Search{sc: sc, stats: o.Stats, ft: t.flat(), trace: o.Trace, explain: o.Explain, ctx: o.Ctx, countAccesses: !o.SkipAccessCounting}
+	if err := s.open(0); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // countNodeAccess records one R-tree node read at the given level into the
-// query stats (unless access counting is off) and the explain recorder. The
-// root read and every Expand — pointer or frozen — go through here, so both
-// traversal paths account identically.
+// query stats (unless access counting is off) and the explain recorder.
 func (s *Search) countNodeAccess(level int) {
-	if s.CountAccesses && s.stats != nil {
+	if s.countAccesses && s.stats != nil {
 		if level == 0 {
 			s.stats.LeafAccesses++
 			s.stats.IO.AddRead(pagestore.NewIOTag(pagestore.CompRTreeLeaf, 0), true)
@@ -487,72 +456,45 @@ func (s *Search) countNodeAccess(level int) {
 	s.explain.recordNodeAccess(level)
 }
 
-// newScorerWithGmax builds a scorer using a precomputed normalizer.
-func (t *Tree) newScorerWithGmax(q Query, gmax float64, stats *QueryStats, cache AggCache, shared *aggcache.Cache) (*Scorer, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if cache == nil {
-		cache = make(AggCache)
-	}
-	sc := &Scorer{t: t, q: q, qv: t.scaled(q.X, q.Y), gmax: gmax, stats: stats, cache: cache, shared: shared}
-	if stats != nil {
-		sc.acct.IO = &stats.IO
-	}
-	return sc, nil
-}
-
 // MaxAggregate reads the normalization range for iv (the sum of the global
 // per-epoch maxima over the interval), counting its accesses into stats.
 // The collective scheme calls it once per query-interval group.
 func (t *Tree) MaxAggregate(iv tia.Interval, stats *QueryStats, cache AggCache) (int64, error) {
-	if cache == nil {
-		cache = make(AggCache)
+	// Only Iq matters for aggregation; other fields are placeholders.
+	sc, err := t.newScorer(Query{Iq: iv, K: 1, Alpha0: 0.5}, SearchOptions{Stats: stats, Cache: cache})
+	if err != nil {
+		return 0, err
 	}
-	sc := &Scorer{
-		t: t,
-		// Only Iq matters for aggregation; other fields are placeholders.
-		q:      Query{Iq: iv, K: 1, Alpha0: 0.5},
-		stats:  stats,
-		cache:  cache,
-		shared: t.opts.Cache,
-	}
-	if stats != nil {
-		sc.acct.IO = &stats.IO
-	}
-	return sc.maxAggregate()
+	// Exact: the normalizer is a check-in count, far below 2^53.
+	return int64(sc.gmax), nil
 }
 
 // Scorer returns the search's scorer.
 func (s *Search) Scorer() *Scorer { return s.sc }
 
-func (s *Search) push(e rstar.Entry) error {
-	s0, s1, err := s.sc.Components(e)
-	if err != nil {
-		return err
+// open reads flat node id — one node access — and scores and enqueues each
+// of its entries, a contiguous run of the slabs.
+func (s *Search) open(id int32) error {
+	n := s.ft.Nodes[id]
+	s.countNodeAccess(int(n.Level))
+	for eid := n.Start; eid < n.Start+n.Count; eid++ {
+		if err := s.push(eid); err != nil {
+			return err
+		}
 	}
-	el := &Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1}
-	if e.Child != nil {
-		el.childLevel = e.Child.Level
-	}
-	heap.Push(&s.queue, el)
-	s.explain.recordPush(len(s.queue))
 	return nil
 }
 
-// pushFlat scores and enqueues entry eid of the frozen slabs. The
-// materialized Entry carries the exact same rectangle and aggregate handle
-// the pointer tree holds, so components, score and heap order are
-// bit-identical to the pointer path.
-func (s *Search) pushFlat(eid int32) error {
+// push scores and enqueues entry eid of the flat layout.
+func (s *Search) push(eid int32) error {
 	e := s.ft.EntryAt(eid)
 	s0, s1, err := s.sc.Components(e)
 	if err != nil {
 		return err
 	}
-	el := &Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1, flat: eid}
-	if cid := s.ft.Children[eid]; cid >= 0 {
-		el.childLevel = int(s.ft.Nodes[cid].Level)
+	el := &Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1, child: s.ft.Children[eid]}
+	if el.child >= 0 {
+		el.childLevel = int(s.ft.Nodes[el.child].Level)
 	}
 	heap.Push(&s.queue, el)
 	s.explain.recordPush(len(s.queue))
@@ -582,48 +524,17 @@ func (s *Search) Pop() *Elem {
 }
 
 // Expand pushes the children of an internal element, counting one node
-// access (when CountAccesses is set). The traced "expand" span covers the
+// access (unless SkipAccessCounting). The traced "expand" span covers the
 // R-tree descent including the scoring of the child entries, so the nested
-// "tia_probe" time is a subset of it. On a frozen search the element's
-// child node is resolved through the flat slabs instead of a pointer.
+// "tia_probe" time is a subset of it.
 func (s *Search) Expand(el *Elem) error {
-	if s.ft != nil {
-		return s.expandFlat(el)
-	}
-	n := el.Entry.Child
-	if n == nil {
+	if el.child < 0 {
 		return nil
 	}
 	if s.trace != nil {
 		defer s.trace.StartSpan("expand")()
 	}
-	s.countNodeAccess(n.Level)
-	for _, e := range n.Entries {
-		if err := s.push(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// expandFlat is Expand on the frozen layout: the child node is a (level,
-// start, count) triple and its entries are a contiguous run of the slabs —
-// no pointer chase, no per-node slice header.
-func (s *Search) expandFlat(el *Elem) error {
-	if el.childLevel < 0 {
-		return nil
-	}
-	if s.trace != nil {
-		defer s.trace.StartSpan("expand")()
-	}
-	n := s.ft.Nodes[s.ft.Children[el.flat]]
-	s.countNodeAccess(int(n.Level))
-	for i := int32(0); i < n.Count; i++ {
-		if err := s.pushFlat(n.Start + i); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.open(el.child)
 }
 
 // Next runs the search until the next POI emerges, returning nil when the

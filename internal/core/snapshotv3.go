@@ -72,10 +72,10 @@ const (
 
 var v3Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SaveSnapshotV3 writes the snapshot-v3 image. It only reads the tree (the
-// WAL checkpointer calls it under a read lock): the installed frozen layout
-// is used when present, otherwise a temporary flat compilation is built and
-// discarded without being installed.
+// SaveSnapshotV3 writes the snapshot-v3 image of the flat layout,
+// compiling it first when a structural mutation dropped it — the same
+// on-demand compile a search does, so it is safe under the read lock the
+// WAL checkpointer holds.
 func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 	var flags uint32
 	var epochStart, epochLength int64
@@ -88,10 +88,7 @@ func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 	default:
 		return fmt.Errorf("core: cannot snapshot custom epoch scheme %T", e)
 	}
-	f := t.frozen
-	if f == nil {
-		f = t.rt.Freeze()
-	}
+	f := t.flat()
 
 	// Assign TIA references: 0 = global, 1..P the POIs by ascending id,
 	// then internal entries in entry order. Leaf entries share their POI's

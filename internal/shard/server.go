@@ -216,9 +216,8 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 		// The search must not carry the request context: it lives across
 		// requests, and this one's context dies when the handler returns.
 		sess.search, searchErr = t.NewSearchWith(q, core.SearchOptions{
-			Gmax:        &gmax,
-			Stats:       &sess.stats,
-			AllowFrozen: true,
+			Gmax:  &gmax,
+			Stats: &sess.stats,
 		})
 		if searchErr != nil {
 			return

@@ -424,34 +424,6 @@ func (s *Store) View(f func(t *core.Tree)) {
 	f(s.tree)
 }
 
-// Freeze compiles and installs the tree's frozen flat layout under the
-// write lock; subsequent queries traverse offsets instead of pointers. The
-// WAL ingest path never mutates tree structure (check-ins only change TIA
-// contents, which the frozen entries share), so the layout stays valid
-// until an explicit rebuild. A tree recovered from a v3 checkpoint arrives
-// already frozen.
-func (s *Store) Freeze() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tree.Freeze()
-}
-
-// Frozen reports whether the tree currently has a frozen flat layout.
-func (s *Store) Frozen() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.Frozen()
-}
-
-// Unfreeze drops the frozen layout; subsequent queries run the pointer
-// path. Used when serving is configured frozen-off but recovery restored a
-// v3 checkpoint, which arrives pre-frozen.
-func (s *Store) Unfreeze() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tree.Unfreeze()
-}
-
 // FlushEpochs folds every buffered epoch ending at or before now into the
 // tree's TIAs.
 func (s *Store) FlushEpochs(now int64) error {
@@ -500,8 +472,8 @@ func (s *Store) Checkpoint() (uint64, error) {
 	var buf bytes.Buffer
 	var err error
 	if s.opts.SnapshotV3 {
-		// Read-only even without an installed frozen layout (it compiles a
-		// temporary one), so the read lock suffices.
+		// Safe under the read lock even when the flat layout must be
+		// recompiled first: that compile is the searches' on-demand one.
 		err = s.tree.SaveSnapshotV3(&buf)
 	} else {
 		err = s.tree.SaveSnapshot(&buf)
