@@ -11,6 +11,7 @@ import (
 
 	"tartree/internal/aggcache"
 	"tartree/internal/core"
+	"tartree/internal/httpapi"
 	"tartree/internal/lbsn"
 	"tartree/internal/obs"
 	"tartree/internal/wal"
@@ -302,5 +303,29 @@ func TestServeIngest(t *testing.T) {
 	}
 	if hz.WAL.Applied != 4 || hz.WAL.Pending != 4 {
 		t.Errorf("restart healthz wal = %+v, want applied/pending 4/4", hz.WAL)
+	}
+}
+
+// TestIngestRejectsOversizeBody: a POST /v1/ingest body past
+// maxIngestBodyBytes is a 400 invalid_argument envelope and ingests
+// nothing, even when the bytes would decode to a valid check-in (here:
+// JSON padded with whitespace).
+func TestIngestRejectsOversizeBody(t *testing.T) {
+	s, d, store := newWALTestServer(t, t.TempDir(), nil)
+	poi := indexedPOI(t, s, d)
+	body := fmt.Sprintf(`{"poi":%d,%s"ts":%d}`, poi, strings.Repeat(" ", maxIngestBodyBytes), d.Spec.End+1)
+	code, resp := post(t, s, "/v1/ingest", body)
+	if code != 400 {
+		t.Fatalf("oversize ingest: status %d, want 400: %.200s", code, resp)
+	}
+	var env httpapi.Envelope
+	if err := json.Unmarshal([]byte(resp), &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != httpapi.CodeInvalidArgument || !strings.Contains(env.Error.Message, "too large") {
+		t.Fatalf("oversize ingest: envelope %+v", env.Error)
+	}
+	if lsn := store.DurableLSN(); lsn != 0 {
+		t.Fatalf("oversize ingest reached the WAL: durable LSN %d", lsn)
 	}
 }

@@ -120,7 +120,6 @@ func main() {
 		cacheB  = flag.Int64("cache-bytes", 64<<20, "shared aggregate/result cache size in bytes (0 disables)")
 		trcOut  = flag.String("trace-out", "", "append finished span traces to this file as Chrome trace_event JSON")
 		sloSpec = flag.String("slo", "", `latency/error objectives, e.g. "query:p99<50ms,ingest:p99<100ms" (burn rates on /metrics)`)
-		snapV3  = flag.Bool("snapshot-v3", true, "write checkpoints in the flat snapshot-v3 format (section reads at startup, no rebuild); recovery reads either format")
 		follow  = flag.String("follow", "", "run as a replication follower of this leader base URL (requires -wal-dir and -repl-token)")
 		replTok = flag.String("repl-token", "", "shared replication secret: enables the leader's /v1/repl endpoints, authenticates a follower; empty disables replication")
 		shardOf = flag.String("shard-of", "", `serve spatial shard "i/N" of the data set (requires -shard-map); only POIs the map assigns to shard i are indexed`)
@@ -375,12 +374,11 @@ func main() {
 		return d.Build(lbsn.BuildOptions{Grouping: g, Metrics: reg, Traces: ring, Cache: cache, Keep: keep})
 	}
 	store, err := wal.OpenStore(fs, base, wal.StoreOptions{
-		Metrics:    reg,
-		Traces:     ring,
-		NoSync:     *noSync,
-		Cache:      cache,
-		TraceSink:  srv.spanSink,
-		SnapshotV3: *snapV3,
+		Metrics:   reg,
+		Traces:    ring,
+		NoSync:    *noSync,
+		Cache:     cache,
+		TraceSink: srv.spanSink,
 	})
 	if err != nil {
 		fatal(err)

@@ -711,10 +711,16 @@ type ingestItem struct {
 	Ts  int64 `json:"ts"`
 }
 
+// maxIngestBodyBytes bounds a POST /v1/ingest body: ample for batches of
+// tens of thousands of check-ins, small enough that one request cannot make
+// the decoder buffer an unbounded stream. A larger body is a 400.
+const maxIngestBodyBytes = 4 << 20
+
 // handleIngest durably records live check-ins: a 200 means every check-in in
 // the request survived an fsync of the write-ahead log and is visible to
 // subsequent queries. 503 while recovering or when the server runs without a
-// WAL; 400 for malformed bodies, unknown POIs and pre-origin timestamps.
+// WAL; 400 for malformed or oversized bodies, unknown POIs and pre-origin
+// timestamps.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		httpError(w, http.StatusServiceUnavailable, errRecovering)
@@ -734,7 +740,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))

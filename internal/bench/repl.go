@@ -31,8 +31,9 @@ const (
 // follower bootstraps from its snapshot, the leader ingests the rest, and
 // the follower tails it through a single WAL stream. The convergence gate
 // rides along: after the tail, the follower must hold the leader's durable
-// LSN exactly and answer the full query battery with the leader's (POI,
-// aggregate) sets.
+// LSN exactly and answer the full query battery exactly as the leader does
+// — same ordered results, same node, leaf and TIA-read totals — because
+// the snapshot-v3 bootstrap carries the leader's index layout.
 //
 // The exported counters depend only on the workload shape — record counts,
 // LSNs, query work — never on timing, so benchdiff can gate on them:
@@ -171,7 +172,8 @@ func ReplExp(cfg Config) ([]Table, error) {
 		return nil, fmt.Errorf("repl: follower never reached LSN %d (applied %d)", total, fstore.AppliedLSN())
 	}
 
-	// Convergence gate: exact LSN identity and answer-identical queries.
+	// Convergence gate: exact LSN identity, then identical ordered answers
+	// and identical query work on the battery.
 	if got, want := fstore.AppliedLSN(), lstore.DurableLSN(); got != want {
 		return nil, fmt.Errorf("repl: follower applied %d, leader durable %d", got, want)
 	}
@@ -183,7 +185,7 @@ func ReplExp(cfg Config) ([]Table, error) {
 		return nil, err
 	}
 	queries := d.Queries(cfg.queries(), defaultK, defaultAlpha, cfg.Seed+41)
-	_, lres, err := runStartupBatch(lstore.Tree(), queries)
+	lwork, lres, err := runStartupBatch(lstore.Tree(), queries)
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +194,12 @@ func ReplExp(cfg Config) ([]Table, error) {
 		return nil, err
 	}
 	for i := range queries {
-		if err := sameAnswerSet(lres[i], fres[i]); err != nil {
+		if err := sameResults(lres[i], fres[i]); err != nil {
 			return nil, fmt.Errorf("repl: query %d: follower vs leader: %w", i, err)
 		}
+	}
+	if fwork != lwork {
+		return nil, fmt.Errorf("repl: follower query work %+v != leader's %+v", fwork, lwork)
 	}
 
 	if cfg.Metrics != nil {

@@ -12,30 +12,30 @@ import (
 )
 
 // Startup experiment defaults: the cold-load sweep builds the same index at
-// several data-set sizes, saves it in both snapshot formats, and times how
-// long a process restart takes to serve from each. The gate on the largest
-// size enforces the point of the flat format — section reads must beat the
-// gob decode + per-POI insert + bulk rebuild of the legacy path by at least
-// startupMinSpeedup.
+// several data-set sizes, saves it as a snapshot-v3 image, and times how
+// long a process restart takes to serve from it against a restart that
+// rebuilds the index from the POI records. The gate on the largest size
+// enforces the point of the flat format — section reads must beat the
+// per-POI insert + bulk rebuild by at least startupMinSpeedup.
 const startupMinSpeedup = 5.0
 
 var startupScales = []float64{0.05, 0.1, 0.2}
 
 // StartupExp measures cold-start cost: for each data-set size it saves the
-// built TAR-tree as a legacy gob (v2) image and as a flat snapshot-v3 image,
-// then times loading each with fresh disk B+-tree TIAs (best of three, so a
-// stray scheduling hiccup cannot fail the gate). Three correctness gates
-// ride along: the v3 load must arrive with the frozen layout installed, the
-// slabs as loaded and the slabs Freeze recompiles from the thawed pointer
-// tree must return identical answers with identical node accesses, and the
-// v2- and v3-loaded trees must agree on every query's (POI, aggregate)
-// ranking.
+// built TAR-tree as a snapshot-v3 image, then times loading it and, as the
+// reference, rebuilding the tree from its records — a fresh tree, one
+// InsertPOI per POI with its full history, one RebuildBulk — both with
+// fresh disk B+-tree TIAs (best of three, so a stray scheduling hiccup
+// cannot fail the gate). Three correctness gates ride along: the v3 load
+// must arrive with the frozen layout installed, the slabs as loaded and the
+// slabs Freeze recompiles from the thawed pointer tree must return
+// identical answers with identical node accesses, and the loaded and the
+// rebuilt trees must agree on every query's (POI, aggregate) ranking.
 //
 // The exported counters depend only on the data set — never on timing — so
 // benchdiff can gate on them:
 //
 //	bench_startup_pois_total{scale="..."}
-//	bench_startup_v2_bytes_total{scale="..."}
 //	bench_startup_v3_bytes_total{scale="..."}
 //	bench_startup_node_accesses_total{scale="..."}
 //	bench_startup_queries_total
@@ -53,8 +53,8 @@ func StartupExp(cfg Config) ([]Table, error) {
 	}
 
 	t := Table{
-		Title:  fmt.Sprintf("Startup: cold load, gob-v2 rebuild vs flat snapshot-v3 (%s)", name),
-		Header: []string{"scale", "POIs", "v2 KB", "v3 KB", "v2 load (ms)", "v3 load (ms)", "speedup", "node accesses"},
+		Title:  fmt.Sprintf("Startup: cold load, rebuild from records vs flat snapshot-v3 (%s)", name),
+		Header: []string{"scale", "POIs", "v3 KB", "rebuild (ms)", "v3 load (ms)", "speedup", "node accesses"},
 	}
 	for si, sc := range scales {
 		sub := cfg
@@ -67,28 +67,25 @@ func StartupExp(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var v2, v3 bytes.Buffer
-		if err := tr.SaveSnapshot(&v2); err != nil {
-			return nil, err
-		}
-		if err := tr.SaveSnapshotV3(&v3); err != nil {
+		var v3 bytes.Buffer
+		if err := tr.SaveSnapshot(&v3); err != nil {
 			return nil, err
 		}
 
-		// Timed loads, best of three, each against a fresh TIA factory so
-		// no page-store state survives from the previous attempt.
-		var fromV2, fromV3 *core.Tree
-		timeV2, timeV3 := time.Duration(1<<62), time.Duration(1<<62)
+		// Timed restarts, best of three, each against a fresh TIA factory
+		// so no page-store state survives from the previous attempt.
+		var rebuilt, fromV3 *core.Tree
+		timeRebuild, timeV3 := time.Duration(1<<62), time.Duration(1<<62)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			lt, err := core.LoadSnapshot(bytes.NewReader(v2.Bytes()), tia.NewBTreeFactory(defaultNodeSize, 10))
+			lt, err := rebuildFromRecords(tr)
 			if err != nil {
-				return nil, fmt.Errorf("startup scale %.2f: v2 load: %w", sc, err)
+				return nil, fmt.Errorf("startup scale %.2f: rebuild: %w", sc, err)
 			}
-			if d := time.Since(start); d < timeV2 {
-				timeV2 = d
+			if d := time.Since(start); d < timeRebuild {
+				timeRebuild = d
 			}
-			fromV2 = lt
+			rebuilt = lt
 			start = time.Now()
 			lt, err = core.LoadSnapshot(bytes.NewReader(v3.Bytes()), tia.NewBTreeFactory(defaultNodeSize, 10))
 			if err != nil {
@@ -126,29 +123,29 @@ func StartupExp(cfg Config) ([]Table, error) {
 			return nil, fmt.Errorf("startup scale %.2f: loaded-slab work %+v != recompiled-slab work %+v", sc, frozenStats, recompiledStats)
 		}
 
-		// Gate: both formats restore the same index — every query's ranked
-		// (POI, aggregate) multiset agrees. The v2 path bulk-rebuilds, so
-		// tree shapes (and tie order) may differ; identity is on answers.
-		_, v2Res, err := runStartupBatch(fromV2, queries)
+		// Gate: the image and the records restore the same index — every
+		// query's ranked (POI, aggregate) multiset agrees. The rebuild
+		// re-packs the tree, so tree shapes (and tie order) may differ;
+		// identity is on answers.
+		_, rebuiltRes, err := runStartupBatch(rebuilt, queries)
 		if err != nil {
 			return nil, err
 		}
 		for i := range queries {
-			if err := sameAnswerSet(v2Res[i], frozenRes[i]); err != nil {
-				return nil, fmt.Errorf("startup scale %.2f query %d: v2 vs v3: %w", sc, i, err)
+			if err := sameAnswerSet(rebuiltRes[i], frozenRes[i]); err != nil {
+				return nil, fmt.Errorf("startup scale %.2f query %d: rebuild vs v3: %w", sc, i, err)
 			}
 		}
 
-		speedup := float64(timeV2) / float64(timeV3)
+		speedup := float64(timeRebuild) / float64(timeV3)
 		if si == len(scales)-1 && speedup < startupMinSpeedup {
-			return nil, fmt.Errorf("startup scale %.2f: v3 load only %.1f× faster than v2 (gate: ≥%.0f×)",
+			return nil, fmt.Errorf("startup scale %.2f: v3 load only %.1f× faster than the rebuild from records (gate: ≥%.0f×)",
 				sc, speedup, startupMinSpeedup)
 		}
 
 		if cfg.Metrics != nil {
 			l := func(c string) string { return fmt.Sprintf(`%s{scale="%.2f"}`, c, sc) }
 			cfg.Metrics.Counter(l("bench_startup_pois_total")).Add(int64(fromV3.Len()))
-			cfg.Metrics.Counter(l("bench_startup_v2_bytes_total")).Add(int64(v2.Len()))
 			cfg.Metrics.Counter(l("bench_startup_v3_bytes_total")).Add(int64(v3.Len()))
 			cfg.Metrics.Counter(l("bench_startup_node_accesses_total")).Add(frozenStats.nodeAccesses)
 			cfg.Metrics.Counter("bench_startup_queries_total").Add(int64(len(queries)))
@@ -156,15 +153,39 @@ func StartupExp(cfg Config) ([]Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", sc),
 			fmt.Sprintf("%d", fromV3.Len()),
-			fmt.Sprintf("%.1f", float64(v2.Len())/1024),
 			fmt.Sprintf("%.1f", float64(v3.Len())/1024),
-			fmt.Sprintf("%.3f", timeV2.Seconds()*1000),
+			fmt.Sprintf("%.3f", timeRebuild.Seconds()*1000),
 			fmt.Sprintf("%.3f", timeV3.Seconds()*1000),
 			fmt.Sprintf("%.1f×", speedup),
 			fmt.Sprintf("%d", frozenStats.nodeAccesses),
 		})
 	}
 	return []Table{t}, nil
+}
+
+// rebuildFromRecords is the restart that has only the records: a fresh
+// tree with tr's configuration and fresh disk B+-tree TIAs, every POI
+// inserted with its full history, then one bulk rebuild of the index.
+func rebuildFromRecords(tr *core.Tree) (*core.Tree, error) {
+	opts := tr.Options()
+	opts.TIA = tia.NewBTreeFactory(defaultNodeSize, 10)
+	nt, err := core.NewTree(opts)
+	if err != nil {
+		return nil, err
+	}
+	var insertErr error
+	tr.POIs(func(p core.POI, _ int64) bool {
+		hist, err := tr.History(p.ID)
+		if err == nil {
+			err = nt.InsertPOI(p, hist)
+		}
+		insertErr = err
+		return err == nil
+	})
+	if insertErr != nil {
+		return nil, insertErr
+	}
+	return nt, nt.RebuildBulk()
 }
 
 // startupWork is the exact query-work fingerprint compared between the

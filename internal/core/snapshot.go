@@ -1,101 +1,86 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 
 	"tartree/internal/aggcache"
 	"tartree/internal/geo"
 	"tartree/internal/obs"
+	"tartree/internal/rstar"
 	"tartree/internal/tia"
 )
 
-// snapshot is the serialized form of a tree: the POI registry with full
-// aggregate histories plus the options needed to rebuild. The R-tree
-// structure itself is not serialized — loading bulk-rebuilds it, which is
-// both simpler and typically yields a better-packed tree than the
-// incremental history would.
-type snapshot struct {
-	Version   int
-	World     [4]float64
-	NodeSize  int
-	Grouping  Grouping
-	Semantics tia.Semantics
-	AggFunc   tia.Func
-	// Epoch grid: fixed grids round-trip; custom Epochs implementations
-	// must be re-supplied at load time.
-	EpochStart  int64
-	EpochLength int64
-	Geometric   bool
-	Clock       int64
-	POIs        []snapshotPOI
-	// Pending carries the buffered, not yet flushed check-ins (since
-	// version 2), so a save/load cycle loses nothing: a snapshot taken
-	// mid-epoch restores with the same PendingCheckIns and flushes to the
-	// same aggregates.
-	Pending []snapshotEpoch
-}
+// Snapshot v3 is the one persistent image of a tree — what SaveSnapshot
+// writes, WAL checkpoints hold, replication bootstraps ship and
+// LoadSnapshot restores. It is an exact on-disk copy of the frozen flat
+// layout: fixed-width little-endian sections followed by a CRC-32C trailer
+// (the WAL's checksum). Loading is section reads — the node and entry slabs
+// deserialize straight into an rstar.FlatTree, TIA contents arrive packed
+// (tia.AppendPacked) instead of being recomputed from POI histories — so a
+// restart does no per-POI inserts and no bulk rebuild, and the restored
+// tree answers and counts exactly like the one that was saved.
+//
+// Layout (all integers little-endian):
+//
+//	magic        8 B  "TARSNP3\x00"
+//	headerBytes  u32  length of the fixed header including the magic
+//	flags        u32  bit 0 = geometric epoch grid
+//	grouping     u32
+//	semantics    u32
+//	aggFunc      u32
+//	nodeSize     u32
+//	world        4×f64 (minX, minY, maxX, maxY)
+//	epochStart   i64
+//	epochLength  i64  (first epoch length when geometric)
+//	clock        i64
+//	lambdaMax    f64  running max of per-epoch mean aggregates λ̂
+//	height       u32  frozen tree height
+//	count        u64  number of POIs (= leaf entries)
+//
+// then the sections, each "<4-byte id> <u64 payload length> <payload>", in
+// fixed order:
+//
+//	TIAS  per-TIA record streams: u64 count, then per TIA a uvarint record
+//	      count followed by the packed records. TIA 0 is the tree-global
+//	      per-epoch-maximum index, TIAs 1..P belong to the POIs in POIS
+//	      order, the rest to internal entries in ENTR order.
+//	POIS  u64 count, then per POI: id i64, x f64, y f64, z f64, total i64,
+//	      tiaRef u32. z is the aggregate-dimension coordinate at insertion
+//	      time — stored, not recomputed, because the leaf rectangles embed
+//	      it and DeletePOI must reproduce it exactly.
+//	PEND  buffered check-ins: u64 epoch count, then per epoch start i64,
+//	      end i64, u64 n, n×(poi i64, count i64).
+//	NODE  u64 count, then per node level i32, start i32, count i32.
+//	ENTR  u64 count, then per entry rect 6×f64 (min xyz, max xyz), child
+//	      node id i32 (−1 = leaf), item i64, tiaRef u32.
+//
+// and finally a u32 CRC-32C of everything before it.
+var snapshotV3Magic = [8]byte{'T', 'A', 'R', 'S', 'N', 'P', '3', 0}
 
-type snapshotPOI struct {
-	ID      int64
-	X, Y    float64
-	Records []tia.Record
-}
+const (
+	v3HeaderBytes = 8 + 4 + 5*4 + 4*8 + 3*8 + 8 + 4 + 8
+	v3FlagGeom    = 1 << 0
 
-// snapshotEpoch is one buffered epoch of pending check-ins.
+	v3POIBytes   = 8 + 3*8 + 8 + 4 // id, x, y, z, total, tiaRef
+	v3NodeBytes  = 12              // level, start, count
+	v3EntryBytes = 6*8 + 4 + 8 + 4 // rect, child, item, tiaRef
+)
+
+var v3Castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// snapshotEpoch is one buffered epoch of pending check-ins (the PEND
+// section), its parallel slices sorted by POI id.
 type snapshotEpoch struct {
 	Start, End int64
 	POIs       []int64
 	Counts     []int64
-}
-
-const snapshotVersion = 2
-
-// SaveSnapshot serializes the tree (POIs, histories, configuration, and any
-// pending check-ins) so a later process can LoadSnapshot it without
-// replaying the check-in stream.
-func (t *Tree) SaveSnapshot(w io.Writer) error {
-	s := snapshot{
-		Version:   snapshotVersion,
-		World:     [4]float64{t.opts.World.Min[0], t.opts.World.Min[1], t.opts.World.Max[0], t.opts.World.Max[1]},
-		NodeSize:  t.opts.NodeSize,
-		Grouping:  t.opts.Grouping,
-		Semantics: t.opts.Semantics,
-		AggFunc:   t.opts.AggFunc,
-		Clock:     t.clock,
-	}
-	switch e := t.opts.Epochs.(type) {
-	case FixedEpochs:
-		s.EpochStart, s.EpochLength = e.Start, e.Length
-	case GeometricEpochs:
-		s.EpochStart, s.EpochLength, s.Geometric = e.Start, e.First, true
-	default:
-		return fmt.Errorf("core: cannot snapshot custom epoch scheme %T", e)
-	}
-	s.POIs = make([]snapshotPOI, 0, len(t.pois))
-	for _, st := range t.pois {
-		s.POIs = append(s.POIs, snapshotPOI{
-			ID:      st.poi.ID,
-			X:       st.poi.X,
-			Y:       st.poi.Y,
-			Records: append([]tia.Record(nil), st.data.mirror.Records()...),
-		})
-	}
-	for ep, counts := range t.pending {
-		se := snapshotEpoch{Start: ep.Start, End: ep.End}
-		for id, c := range counts {
-			se.POIs = append(se.POIs, id)
-			se.Counts = append(se.Counts, c)
-		}
-		sortEpochPOIs(&se)
-		s.Pending = append(s.Pending, se)
-	}
-	sort.Slice(s.Pending, func(i, j int) bool { return s.Pending[i].Start < s.Pending[j].Start })
-	return gob.NewEncoder(w).Encode(&s)
 }
 
 // sortEpochPOIs orders one pending epoch's parallel slices by POI id so
@@ -114,76 +99,591 @@ func sortEpochPOIs(se *snapshotEpoch) {
 	se.POIs, se.Counts = pois, counts
 }
 
-// LoadSnapshot reconstructs a tree saved with SaveSnapshot or
-// SaveSnapshotV3 — the format is detected from the leading magic bytes. The
-// TIA factory is supplied fresh (disk state is rebuilt, not deserialized);
-// nil selects the default. On the legacy gob path the index is bulk-rebuilt
-// for spatial groupings; on the v3 path the frozen layout loads directly
-// from the on-disk sections.
+// SaveSnapshot writes the snapshot-v3 image of the tree (configuration,
+// POIs, TIA contents, pending check-ins and the flat layout), compiling the
+// layout first when a structural mutation dropped it — the same on-demand
+// compile a search does, so it is safe under the read lock the WAL
+// checkpointer holds.
+func (t *Tree) SaveSnapshot(w io.Writer) error {
+	var flags uint32
+	var epochStart, epochLength int64
+	switch e := t.opts.Epochs.(type) {
+	case FixedEpochs:
+		epochStart, epochLength = e.Start, e.Length
+	case GeometricEpochs:
+		epochStart, epochLength = e.Start, e.First
+		flags |= v3FlagGeom
+	default:
+		return fmt.Errorf("core: cannot snapshot custom epoch scheme %T", e)
+	}
+	f := t.flat()
+
+	// Assign TIA references: 0 = global, 1..P the POIs by ascending id,
+	// then internal entries in entry order. Leaf entries share their POI's
+	// aggData, so the walk below never mints a reference for them.
+	ids := make([]int64, 0, len(t.pois))
+	for id := range t.pois {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	refs := map[*aggData]uint32{t.global: 0}
+	tias := []*aggData{t.global}
+	for _, id := range ids {
+		d := t.pois[id].data
+		refs[d] = uint32(len(tias))
+		tias = append(tias, d)
+	}
+	for _, data := range f.Data {
+		d := data.(*aggData)
+		if _, ok := refs[d]; !ok {
+			refs[d] = uint32(len(tias))
+			tias = append(tias, d)
+		}
+	}
+
+	var buf []byte
+	buf = append(buf, snapshotV3Magic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, v3HeaderBytes)
+	buf = binary.LittleEndian.AppendUint32(buf, flags)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.opts.Grouping))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.opts.Semantics))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.opts.AggFunc))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.opts.NodeSize))
+	for _, v := range [4]float64{t.opts.World.Min[0], t.opts.World.Min[1], t.opts.World.Max[0], t.opts.World.Max[1]} {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(epochStart))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(epochLength))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.clock))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.lambdaMax))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Height))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Count))
+
+	section := func(id string, payload []byte) {
+		buf = append(buf, id...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+		buf = append(buf, payload...)
+	}
+
+	var p []byte
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(tias)))
+	for _, d := range tias {
+		recs := d.mirror.Records()
+		p = binary.AppendUvarint(p, uint64(len(recs)))
+		p = tia.AppendPacked(p, recs)
+	}
+	section("TIAS", p)
+
+	p = binary.LittleEndian.AppendUint64(nil, uint64(len(ids)))
+	for _, id := range ids {
+		st := t.pois[id]
+		p = binary.LittleEndian.AppendUint64(p, uint64(st.poi.ID))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(st.poi.X))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(st.poi.Y))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(st.z))
+		p = binary.LittleEndian.AppendUint64(p, uint64(st.total))
+		p = binary.LittleEndian.AppendUint32(p, refs[st.data])
+	}
+	section("POIS", p)
+
+	pending := make([]snapshotEpoch, 0, len(t.pending))
+	for ep, counts := range t.pending {
+		se := snapshotEpoch{Start: ep.Start, End: ep.End}
+		for id, c := range counts {
+			se.POIs = append(se.POIs, id)
+			se.Counts = append(se.Counts, c)
+		}
+		sortEpochPOIs(&se)
+		pending = append(pending, se)
+	}
+	sort.Slice(pending, func(i, j int) bool { return pending[i].Start < pending[j].Start })
+	p = binary.LittleEndian.AppendUint64(nil, uint64(len(pending)))
+	for _, se := range pending {
+		p = binary.LittleEndian.AppendUint64(p, uint64(se.Start))
+		p = binary.LittleEndian.AppendUint64(p, uint64(se.End))
+		p = binary.LittleEndian.AppendUint64(p, uint64(len(se.POIs)))
+		for i := range se.POIs {
+			p = binary.LittleEndian.AppendUint64(p, uint64(se.POIs[i]))
+			p = binary.LittleEndian.AppendUint64(p, uint64(se.Counts[i]))
+		}
+	}
+	section("PEND", p)
+
+	p = binary.LittleEndian.AppendUint64(nil, uint64(len(f.Nodes)))
+	for _, n := range f.Nodes {
+		p = binary.LittleEndian.AppendUint32(p, uint32(n.Level))
+		p = binary.LittleEndian.AppendUint32(p, uint32(n.Start))
+		p = binary.LittleEndian.AppendUint32(p, uint32(n.Count))
+	}
+	section("NODE", p)
+
+	p = binary.LittleEndian.AppendUint64(nil, uint64(len(f.Rects)))
+	for i := range f.Rects {
+		r := &f.Rects[i]
+		for d := 0; d < geo.MaxDims; d++ {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Min[d]))
+		}
+		for d := 0; d < geo.MaxDims; d++ {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Max[d]))
+		}
+		p = binary.LittleEndian.AppendUint32(p, uint32(f.Children[i]))
+		p = binary.LittleEndian.AppendUint64(p, uint64(f.Items[i]))
+		p = binary.LittleEndian.AppendUint32(p, refs[f.Data[i].(*aggData)])
+	}
+	section("ENTR", p)
+
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, v3Castagnoli))
+	_, err := w.Write(buf)
+	return err
+}
+
+// v3cursor is a bounds-checked reader over the snapshot bytes; every read
+// that would run past the end reports corruption instead of panicking.
+type v3cursor struct {
+	b   []byte
+	off int
+}
+
+func (c *v3cursor) need(n int) ([]byte, error) {
+	if n < 0 || c.off+n > len(c.b) {
+		return nil, fmt.Errorf("core: snapshot truncated at byte %d (need %d of %d)", c.off, n, len(c.b))
+	}
+	s := c.b[c.off : c.off+n]
+	c.off += n
+	return s, nil
+}
+
+func (c *v3cursor) u32() (uint32, error) {
+	s, err := c.need(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(s), nil
+}
+
+func (c *v3cursor) u64() (uint64, error) {
+	s, err := c.need(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(s), nil
+}
+
+func (c *v3cursor) i64() (int64, error) { v, err := c.u64(); return int64(v), err }
+
+func (c *v3cursor) f64() (float64, error) {
+	v, err := c.u64()
+	return math.Float64frombits(v), err
+}
+
+// count reads a u64 element count and rejects values that could not fit in
+// the remaining bytes at elemBytes each — a forged count then fails before
+// any allocation proportional to it.
+func (c *v3cursor) count(elemBytes int) (int, error) {
+	v, err := c.u64()
+	if err != nil {
+		return 0, err
+	}
+	if v > uint64(len(c.b)-c.off)/uint64(elemBytes) {
+		return 0, fmt.Errorf("core: snapshot count %d exceeds remaining %d bytes", v, len(c.b)-c.off)
+	}
+	return int(v), nil
+}
+
+// section checks the 4-byte section id and returns a cursor over its
+// payload, advancing the parent past it.
+func (c *v3cursor) section(id string) (*v3cursor, error) {
+	s, err := c.need(4)
+	if err != nil {
+		return nil, err
+	}
+	if string(s) != id {
+		return nil, fmt.Errorf("core: snapshot section %q where %q expected", s, id)
+	}
+	n, err := c.u64()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(c.b)-c.off) {
+		return nil, fmt.Errorf("core: snapshot section %s length %d exceeds remaining %d bytes", id, n, len(c.b)-c.off)
+	}
+	p, err := c.need(int(n))
+	if err != nil {
+		return nil, err
+	}
+	return &v3cursor{b: p}, nil
+}
+
+// LoadSnapshot reconstructs a tree saved with SaveSnapshot. The TIA factory
+// is supplied fresh (disk TIAs are bulk-built from the packed records, not
+// deserialized); nil selects the default. The frozen layout loads directly
+// from the on-disk sections. Input that does not start with the snapshot-v3
+// magic — including the gob images older releases could write — is
+// rejected.
 func LoadSnapshot(r io.Reader, factory tia.Factory) (*Tree, error) {
 	return LoadSnapshotObserved(r, factory, nil, nil, nil)
 }
 
+// errNotSnapshot rejects input without the snapshot-v3 magic.
+var errNotSnapshot = errors.New("core: input is not a snapshot-v3 image (magic \"TARSNP3\" missing); legacy gob snapshot images are no longer read")
+
 // LoadSnapshotObserved is LoadSnapshot with instrumentation and caching:
-// the rebuilt tree publishes metrics and trace records as if it had been
+// the restored tree publishes metrics and trace records as if it had been
 // created with Options.Metrics/Options.Traces set, and attaches the shared
 // epoch-versioned cache (nil disables). The WAL recovery path uses it so a
 // restored server keeps its observability surface and cache.
+//
+// It builds the rstar.FlatTree straight from the NODE/ENTR sections, thaws
+// it into the pointer tree, and installs it as the frozen layout — no
+// per-POI inserts, no bulk rebuild, for every grouping including IND-agg.
 func LoadSnapshotObserved(r io.Reader, factory tia.Factory, metrics *obs.Registry, traces *obs.TraceRing, cache *aggcache.Cache) (*Tree, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(snapshotV3Magic)); err == nil && bytes.Equal(magic, snapshotV3Magic[:]) {
-		b, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading v3 snapshot: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading snapshot: %w", err)
+	}
+	if !bytes.HasPrefix(b, snapshotV3Magic[:]) {
+		return nil, errNotSnapshot
+	}
+	if len(b) < v3HeaderBytes+4 {
+		return nil, fmt.Errorf("core: snapshot truncated: %d bytes, header and trailer need %d", len(b), v3HeaderBytes+4)
+	}
+	body, trailer := b[:len(b)-4], b[len(b)-4:]
+	if crc32.Checksum(body, v3Castagnoli) != binary.LittleEndian.Uint32(trailer) {
+		return nil, fmt.Errorf("core: snapshot checksum mismatch")
+	}
+	c := &v3cursor{b: body, off: 8}
+	hdrLen, err := c.u32()
+	if err != nil {
+		return nil, err
+	}
+	if hdrLen != v3HeaderBytes {
+		return nil, fmt.Errorf("core: snapshot header length %d, want %d", hdrLen, v3HeaderBytes)
+	}
+	flags, err := c.u32()
+	if err != nil {
+		return nil, err
+	}
+	var grouping, semantics, aggFunc, nodeSize uint32
+	for _, dst := range []*uint32{&grouping, &semantics, &aggFunc, &nodeSize} {
+		if *dst, err = c.u32(); err != nil {
+			return nil, err
 		}
-		return loadSnapshotV3(b, factory, metrics, traces, cache)
 	}
-	var s snapshot
-	if err := gob.NewDecoder(br).Decode(&s); err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
+	var world [4]float64
+	for i := range world {
+		if world[i], err = c.f64(); err != nil {
+			return nil, err
+		}
 	}
-	if s.Version < 1 || s.Version > snapshotVersion {
-		return nil, fmt.Errorf("core: unsupported snapshot version %d", s.Version)
+	epochStart, err := c.i64()
+	if err != nil {
+		return nil, err
 	}
+	epochLength, err := c.i64()
+	if err != nil {
+		return nil, err
+	}
+	clock, err := c.i64()
+	if err != nil {
+		return nil, err
+	}
+	lambdaMax, err := c.f64()
+	if err != nil {
+		return nil, err
+	}
+	height, err := c.u32()
+	if err != nil {
+		return nil, err
+	}
+	itemCount, err := c.u64()
+	if err != nil {
+		return nil, err
+	}
+	if grouping > uint32(IndAgg) {
+		return nil, fmt.Errorf("core: snapshot grouping %d unknown", grouping)
+	}
+
 	opts := Options{
-		World:     geo.Rect{Min: geo.Vector{s.World[0], s.World[1]}, Max: geo.Vector{s.World[2], s.World[3]}},
-		NodeSize:  s.NodeSize,
-		Grouping:  s.Grouping,
-		Semantics: s.Semantics,
-		AggFunc:   s.AggFunc,
+		World:     geo.Rect{Min: geo.Vector{world[0], world[1]}, Max: geo.Vector{world[2], world[3]}},
+		NodeSize:  int(nodeSize),
+		Grouping:  Grouping(grouping),
+		Semantics: tia.Semantics(semantics),
+		AggFunc:   tia.Func(aggFunc),
 		TIA:       factory,
 		Metrics:   metrics,
 		Traces:    traces,
 		Cache:     cache,
 	}
-	if s.Geometric {
-		opts.Epochs = GeometricEpochs{Start: s.EpochStart, First: s.EpochLength}
+	if flags&v3FlagGeom != 0 {
+		opts.Epochs = GeometricEpochs{Start: epochStart, First: epochLength}
 	} else {
-		opts.EpochStart, opts.EpochLength = s.EpochStart, s.EpochLength
+		opts.EpochStart, opts.EpochLength = epochStart, epochLength
 	}
 	t, err := NewTree(opts)
 	if err != nil {
 		return nil, err
 	}
-	t.observe(s.Clock)
-	for _, p := range s.POIs {
-		if err := t.InsertPOI(POI{ID: p.ID, X: p.X, Y: p.Y}, p.Records); err != nil {
+	t.observe(clock)
+	t.lambdaMax = lambdaMax
+
+	// TIAS: decode the packed record streams.
+	ts, err := c.section("TIAS")
+	if err != nil {
+		return nil, err
+	}
+	ntias, err := ts.count(1)
+	if err != nil {
+		return nil, err
+	}
+	if ntias < 1 {
+		return nil, fmt.Errorf("core: snapshot has no TIA table")
+	}
+	recsByRef := make([][]tia.Record, ntias)
+	rest := ts.b[ts.off:]
+	for i := 0; i < ntias; i++ {
+		n, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return nil, fmt.Errorf("core: snapshot TIA %d truncated", i)
+		}
+		rest = rest[k:]
+		if n > uint64(len(rest)) { // every packed record is >= 3 bytes... >= 1
+			return nil, fmt.Errorf("core: snapshot TIA %d record count %d exceeds section", i, n)
+		}
+		recs, r2, err := tia.DecodePacked(rest, int(n))
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshot TIA %d: %w", i, err)
+		}
+		recsByRef[i], rest = recs, r2
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("core: snapshot TIA section has %d trailing bytes", len(rest))
+	}
+
+	// dataFor materializes the aggData of one reference — memoized, so the
+	// leaf entries of the ENTR section share their POI's aggData identity
+	// exactly as the live tree does. The packed decode guarantees strictly
+	// ascending Ts, so both the mirror and (when the factory supports it)
+	// the disk index are built bottom-up from the sorted stream instead of
+	// one put at a time — the difference between a restart that re-inserts
+	// every record and one that writes each page once.
+	bulk, _ := t.opts.TIA.(tia.BulkFactory)
+	datas := make([]*aggData, ntias)
+	dataFor := func(ref uint32, owned bool) (*aggData, error) {
+		if ref >= uint32(ntias) {
+			return nil, fmt.Errorf("core: snapshot TIA reference %d out of range", ref)
+		}
+		if d := datas[ref]; d != nil {
+			return d, nil
+		}
+		recs := recsByRef[ref]
+		var disk tia.Index
+		var err error
+		if bulk != nil {
+			disk, err = bulk.NewBulk(recs)
+		} else {
+			disk, err = t.opts.TIA.New()
+			if err == nil {
+				for _, r := range recs {
+					if err = disk.Put(r); err != nil {
+						break
+					}
+				}
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
+		d := newAggData(tia.NewMemFromSorted(recs), disk, owned)
+		datas[ref] = d
+		return d, nil
 	}
-	t.observe(s.Clock) // inserting history may have rewound nothing; re-pin
-	for _, se := range s.Pending {
-		ep := tia.Interval{Start: se.Start, End: se.End}
-		m := make(map[int64]int64, len(se.POIs))
-		for i, id := range se.POIs {
-			m[id] = se.Counts[i]
-		}
-		t.pending[ep] = m
+
+	// Global per-epoch maxima: replace the empty index NewTree installed.
+	if err := t.global.disk.Destroy(); err != nil {
+		return nil, err
 	}
-	if t.opts.Grouping != IndAgg {
-		if err := t.RebuildBulk(); err != nil {
+	if t.global, err = dataFor(0, true); err != nil {
+		return nil, err
+	}
+
+	// POIS.
+	ps, err := c.section("POIS")
+	if err != nil {
+		return nil, err
+	}
+	npois, err := ps.count(v3POIBytes)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(npois) != itemCount {
+		return nil, fmt.Errorf("core: snapshot has %d POIs but header says %d items", npois, itemCount)
+	}
+	for i := 0; i < npois; i++ {
+		id, err := ps.i64()
+		if err != nil {
 			return nil, err
 		}
+		var x, y, z float64
+		for _, dst := range []*float64{&x, &y, &z} {
+			if *dst, err = ps.f64(); err != nil {
+				return nil, err
+			}
+		}
+		total, err := ps.i64()
+		if err != nil {
+			return nil, err
+		}
+		ref, err := ps.u32()
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := t.pois[id]; dup {
+			return nil, fmt.Errorf("core: snapshot POI %d duplicated", id)
+		}
+		data, err := dataFor(ref, false)
+		if err != nil {
+			return nil, err
+		}
+		t.pois[id] = &poiState{
+			poi:    POI{ID: id, X: x, Y: y},
+			loc:    t.scaled(x, y),
+			data:   data,
+			z:      z,
+			total:  total,
+			inTree: true,
+		}
 	}
+
+	// PEND.
+	es, err := c.section("PEND")
+	if err != nil {
+		return nil, err
+	}
+	neps, err := es.count(24)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < neps; i++ {
+		start, err := es.i64()
+		if err != nil {
+			return nil, err
+		}
+		end, err := es.i64()
+		if err != nil {
+			return nil, err
+		}
+		n, err := es.count(16)
+		if err != nil {
+			return nil, err
+		}
+		m := make(map[int64]int64, n)
+		for j := 0; j < n; j++ {
+			id, err := es.i64()
+			if err != nil {
+				return nil, err
+			}
+			cnt, err := es.i64()
+			if err != nil {
+				return nil, err
+			}
+			m[id] = cnt
+		}
+		t.pending[tia.Interval{Start: start, End: end}] = m
+	}
+
+	// NODE + ENTR → FlatTree.
+	ns, err := c.section("NODE")
+	if err != nil {
+		return nil, err
+	}
+	nnodes, err := ns.count(v3NodeBytes)
+	if err != nil {
+		return nil, err
+	}
+	f := &rstar.FlatTree{Dims: t.dims, Height: int(height), Count: int(itemCount)}
+	f.Nodes = make([]rstar.FlatNode, nnodes)
+	for i := range f.Nodes {
+		var lvl, start, cnt uint32
+		for _, dst := range []*uint32{&lvl, &start, &cnt} {
+			if *dst, err = ns.u32(); err != nil {
+				return nil, err
+			}
+		}
+		f.Nodes[i] = rstar.FlatNode{Level: int32(lvl), Start: int32(start), Count: int32(cnt)}
+	}
+	esec, err := c.section("ENTR")
+	if err != nil {
+		return nil, err
+	}
+	nentries, err := esec.count(v3EntryBytes)
+	if err != nil {
+		return nil, err
+	}
+	f.Rects = make([]geo.Rect, nentries)
+	f.Children = make([]int32, nentries)
+	f.Items = make([]int64, nentries)
+	f.Data = make([]any, nentries)
+	leaves := 0
+	for i := 0; i < nentries; i++ {
+		var r geo.Rect
+		for d := 0; d < geo.MaxDims; d++ {
+			if r.Min[d], err = esec.f64(); err != nil {
+				return nil, err
+			}
+		}
+		for d := 0; d < geo.MaxDims; d++ {
+			if r.Max[d], err = esec.f64(); err != nil {
+				return nil, err
+			}
+		}
+		child, err := esec.u32()
+		if err != nil {
+			return nil, err
+		}
+		item, err := esec.i64()
+		if err != nil {
+			return nil, err
+		}
+		ref, err := esec.u32()
+		if err != nil {
+			return nil, err
+		}
+		f.Rects[i], f.Children[i], f.Items[i] = r, int32(child), item
+		owned := true
+		if int32(child) < 0 { // leaf entry: shares the POI's aggData
+			st, ok := t.pois[item]
+			if !ok {
+				return nil, fmt.Errorf("core: snapshot leaf entry references unknown POI %d", item)
+			}
+			if st.data != nil {
+				owned = false
+			}
+			leaves++
+		}
+		d, err := dataFor(ref, owned)
+		if err != nil {
+			return nil, err
+		}
+		if int32(child) < 0 && d != t.pois[item].data {
+			return nil, fmt.Errorf("core: snapshot leaf entry for POI %d cites TIA %d, not the POI's", item, ref)
+		}
+		f.Data[i] = d
+	}
+	if leaves != npois {
+		return nil, fmt.Errorf("core: snapshot has %d leaf entries for %d POIs", leaves, npois)
+	}
+	if c.off != len(c.b) {
+		return nil, fmt.Errorf("core: snapshot has %d trailing bytes", len(c.b)-c.off)
+	}
+
+	// Thaw validates the structure (bounds, cycles, aliasing, level skew)
+	// and restores the pointer tree; the flat form itself becomes the
+	// installed frozen layout.
+	rt, err := f.Thaw(t.rstarConfig())
+	if err != nil {
+		return nil, err
+	}
+	t.rt = rt
+	t.setFrozen(f)
 	return t, nil
 }

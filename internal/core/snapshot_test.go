@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"tartree/internal/tia"
@@ -162,8 +164,17 @@ func TestSnapshotGeometricEpochs(t *testing.T) {
 	}
 }
 
+// TestSnapshotGarbage: input without the snapshot-v3 magic — garbage, a
+// stream shorter than the magic, the start of a legacy gob image — fails
+// with the error that names the format.
 func TestSnapshotGarbage(t *testing.T) {
-	if _, err := LoadSnapshot(bytes.NewReader([]byte("not a snapshot")), nil); err == nil {
-		t.Fatal("garbage accepted")
+	for _, in := range []string{"", "TAR", "not a snapshot", "\x1b\xff\x81\x03\x01\x01\x08snapshot"} {
+		_, err := LoadSnapshot(bytes.NewReader([]byte(in)), nil)
+		if !errors.Is(err, errNotSnapshot) {
+			t.Fatalf("input %q: err = %v, want errNotSnapshot", in, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "snapshot-v3") || !strings.Contains(msg, "gob") {
+			t.Fatalf("input %q: error %q does not name the format", in, msg)
+		}
 	}
 }

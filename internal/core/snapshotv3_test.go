@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 				}
 			}
 			var buf bytes.Buffer
-			if err := tr.SaveSnapshotV3(&buf); err != nil {
+			if err := tr.SaveSnapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
 			got, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), nil)
@@ -90,26 +91,34 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3MatchesV2: a tree saved both ways loads to equivalent
-// trees — same answers, same aggregates — so old gob snapshots keep loading
-// through the legacy path while new checkpoints use v3.
+// TestSnapshotV3MatchesV2: a v3 restore agrees with the restore the
+// retired v2 loader performed — a fresh tree fed every POI history and
+// bulk-rebuilt — on every aggregate and every ranked (POI, aggregate)
+// answer. Carrying the layout must not change what the records say.
 func TestSnapshotV3MatchesV2(t *testing.T) {
 	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
 		t.Run(g.String(), func(t *testing.T) {
 			tr, r := buildRandomTree(t, g, 200, 23)
-			var v2, v3 bytes.Buffer
-			if err := tr.SaveSnapshot(&v2); err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.SaveSnapshotV3(&v3); err != nil {
-				t.Fatal(err)
-			}
-			fromV2, err := LoadSnapshot(&v2, nil)
-			if err != nil {
+			var v3 bytes.Buffer
+			if err := tr.SaveSnapshot(&v3); err != nil {
 				t.Fatal(err)
 			}
 			fromV3, err := LoadSnapshot(&v3, nil)
 			if err != nil {
+				t.Fatal(err)
+			}
+			fromV2 := mustTree(t, tr.Options())
+			tr.POIs(func(p POI, total int64) bool {
+				hist, err := tr.History(p.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fromV2.InsertPOI(p, hist); err != nil {
+					t.Fatal(err)
+				}
+				return true
+			})
+			if err := fromV2.RebuildBulk(); err != nil {
 				t.Fatal(err)
 			}
 			if fromV2.Len() != fromV3.Len() {
@@ -165,7 +174,7 @@ func TestSnapshotV3MatchesV2(t *testing.T) {
 func TestSnapshotV3RejectsCorrupt(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 120, 31)
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
@@ -186,11 +195,11 @@ func TestSnapshotV3RejectsCorrupt(t *testing.T) {
 			}
 		}
 	}
-	// Wrong magic falls through to the gob path and must error there.
+	// A wrong magic is not a snapshot at all.
 	mut := append([]byte(nil), img...)
 	mut[0] = 'X'
-	if _, err := LoadSnapshot(bytes.NewReader(mut), nil); err == nil {
-		t.Fatal("wrong magic accepted")
+	if _, err := LoadSnapshot(bytes.NewReader(mut), nil); !errors.Is(err, errNotSnapshot) {
+		t.Fatalf("wrong magic: err = %v, want errNotSnapshot", err)
 	}
 }
 
@@ -198,7 +207,7 @@ func TestSnapshotV3RejectsCorrupt(t *testing.T) {
 func TestSnapshotV3EmptyTree(t *testing.T) {
 	tr := mustTree(t, defaultOpts(TAR3D))
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSnapshot(&buf, nil)
@@ -219,7 +228,7 @@ func TestSnapshotV3EmptyTree(t *testing.T) {
 func TestSnapshotV3RestoreExportsIndexGauges(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 200, 23)
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
@@ -252,7 +261,7 @@ func TestSnapshotV3GeometricEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSnapshot(&buf, nil)
@@ -274,10 +283,10 @@ func TestSnapshotV3GeometricEpochs(t *testing.T) {
 func TestSnapshotV3Deterministic(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 150, 41)
 	var a, b bytes.Buffer
-	if err := tr.SaveSnapshotV3(&a); err != nil {
+	if err := tr.SaveSnapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.SaveSnapshotV3(&b); err != nil {
+	if err := tr.SaveSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -285,18 +294,22 @@ func TestSnapshotV3Deterministic(t *testing.T) {
 	}
 }
 
-// FuzzLoadSnapshotV3 hammers the v3 decoder with mutated images: any input
-// must either load cleanly or error — panics and unbounded allocations are
-// the failure modes the bounds-checked cursor exists to prevent.
-func FuzzLoadSnapshotV3(f *testing.F) {
+// FuzzLoadSnapshot hammers the only restore path — every checkpoint and
+// every replication bootstrap goes through it — with mutated images: any
+// input must either load cleanly or error. Panics and unbounded
+// allocations are the failure modes the bounds-checked cursor exists to
+// prevent.
+func FuzzLoadSnapshot(f *testing.F) {
 	tr, _ := buildRandomTree(f, TAR3D, 60, 53)
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:40])
 	f.Add(snapshotV3Magic[:])
+	f.Add(snapshotV3Magic[:3])
+	f.Add([]byte("\x1b\xff\x81\x03\x01\x01\x08snapshot\x01\xff\x82\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := LoadSnapshot(bytes.NewReader(data), nil)
 		if err == nil && tr == nil {

@@ -192,10 +192,14 @@ func (s *Server) HandleGmax(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxShardBodyBytes bounds a /v1/shard/query or /v1/shard/next body. Both
+// are a handful of scalars; a larger body is a 400, not a stream to buffer.
+const maxShardBodyBytes = 1 << 20
+
 // HandleQuery opens a search session and serves its first round.
 func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardBodyBytes)).Decode(&req); err != nil {
 		httpapi.WriteStatusError(w, http.StatusBadRequest, "malformed shard query body: "+err.Error())
 		return
 	}
@@ -245,7 +249,7 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 // HandleNext serves one more round of an open session.
 func (s *Server) HandleNext(w http.ResponseWriter, r *http.Request) {
 	var req nextRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardBodyBytes)).Decode(&req); err != nil {
 		httpapi.WriteStatusError(w, http.StatusBadRequest, "malformed shard next body: "+err.Error())
 		return
 	}

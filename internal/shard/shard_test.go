@@ -17,6 +17,7 @@ import (
 
 	"tartree/internal/core"
 	"tartree/internal/geo"
+	"tartree/internal/httpapi"
 	"tartree/internal/lbsn"
 	"tartree/internal/obs"
 	"tartree/internal/tia"
@@ -426,5 +427,54 @@ func TestSessionTTL(t *testing.T) {
 	clock = clock.Add(11 * time.Second)
 	if rec := next(); rec.Code != http.StatusGone {
 		t.Fatalf("expired session: status %d, want 410: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestShardRejectsOversizeBody: a /v1/shard/query or /v1/shard/next body
+// past maxShardBodyBytes is a 400 invalid_argument envelope, even when the
+// bytes would decode to a valid request (here: JSON padded with
+// whitespace) — the limit holds before the decoder buffers the stream.
+func TestShardRejectsOversizeBody(t *testing.T) {
+	d := testDataset(t)
+	tr, err := d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{Data: TreeViewer{Tree: tr}, Index: 0, N: 1}
+	q := d.Queries(1, 5, 0.3, 13)[0]
+	qb, _ := json.Marshal(queryRequest{
+		X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
+		Start: q.Iq.Start, End: q.Iq.End, Gmax: 100, Batch: 1,
+	})
+	rec := httptest.NewRecorder()
+	srv.HandleQuery(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/query", bytes.NewReader(qb)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("open: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var rr roundResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+		t.Fatal(err)
+	}
+	nb, _ := json.Marshal(nextRequest{Session: rr.Session, Batch: 1})
+
+	pad := func(b []byte) []byte {
+		return append(append([]byte{'{'}, bytes.Repeat([]byte{' '}, maxShardBodyBytes)...), b[1:]...)
+	}
+	for _, c := range []struct {
+		route  string
+		handle http.HandlerFunc
+		body   []byte
+	}{
+		{"/v1/shard/query", srv.HandleQuery, pad(qb)},
+		{"/v1/shard/next", srv.HandleNext, pad(nb)},
+	} {
+		rec := httptest.NewRecorder()
+		c.handle(rec, httptest.NewRequest(http.MethodPost, c.route, bytes.NewReader(c.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: oversize body: status %d, want 400: %.200s", c.route, rec.Code, rec.Body.String())
+		}
+		if e := httpapi.ReadError(rec.Result()); e.Code != httpapi.CodeInvalidArgument || !strings.Contains(e.Message, "too large") {
+			t.Fatalf("%s: oversize body: envelope %+v", c.route, e)
+		}
 	}
 }

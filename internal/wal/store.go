@@ -109,10 +109,9 @@ type StoreOptions struct {
 	// queries — the only writers of cache entries — run under the read
 	// lock, mutations and their invalidation under the write lock.
 	Cache *aggcache.Cache
-	// SnapshotV3 makes Checkpoint write the flat snapshot-v3 format (exact
-	// frozen layout + packed TIAs) instead of the legacy gob image, so the
-	// next startup loads by section reads with no rebuild. Recovery reads
-	// either format regardless — the loader dispatches on the magic bytes.
+	// SnapshotV3 has no effect.
+	//
+	// Deprecated: ignored; checkpoints are always snapshot v3.
 	SnapshotV3 bool
 }
 
@@ -351,22 +350,18 @@ func (s *Store) ApplyReplicated(first uint64, cs []CheckIn) (uint64, error) {
 	return s.Ingest(cs)
 }
 
-// EncodeSnapshot encodes a consistent snapshot of the tree (snapshot v3
-// when the store is configured for it, the legacy gob image otherwise) and
-// returns the encoded bytes plus the exact LSN they cover: the contiguous
-// applied prefix at encode time. A replication follower that installs these
-// bytes as a checkpoint and then tails the WAL from the returned LSN + 1
-// reconstructs the leader's tree exactly.
+// EncodeSnapshot encodes a consistent snapshot-v3 image of the tree — the
+// checkpoint format — and returns the encoded bytes plus the exact LSN they
+// cover: the contiguous applied prefix at encode time. A replication
+// follower that installs these bytes as a checkpoint and then tails the WAL
+// from the returned LSN + 1 reconstructs the leader's tree exactly: the
+// image carries the frozen layout, so the follower's searches visit the
+// same nodes as the leader's.
 func (s *Store) EncodeSnapshot() ([]byte, uint64, error) {
 	s.mu.RLock()
 	lsn := s.appliedContig
 	var buf bytes.Buffer
-	var err error
-	if s.opts.SnapshotV3 {
-		err = s.tree.SaveSnapshotV3(&buf)
-	} else {
-		err = s.tree.SaveSnapshot(&buf)
-	}
+	err := s.tree.SaveSnapshot(&buf)
 	s.mu.RUnlock()
 	if err != nil {
 		return nil, 0, err
@@ -457,8 +452,8 @@ func (s *Store) Checkpoint() (uint64, error) {
 	defer s.ckMu.Unlock()
 	start := time.Now()
 
-	// Encode under the tree lock (pending check-ins travel in the snapshot
-	// since version 2); all file I/O happens after release.
+	// Encode under the tree lock (pending check-ins travel in the
+	// snapshot); all file I/O happens after release.
 	s.mu.RLock()
 	lsn := s.appliedContig
 	if lsn == s.checkpointLSN {
@@ -469,15 +464,10 @@ func (s *Store) Checkpoint() (uint64, error) {
 	ck.SetAttr("lsn", lsn)
 	defer ck.Finish()
 	enc := ck.StartChild("encode")
+	// Safe under the read lock even when the flat layout must be recompiled
+	// first: that compile is the searches' on-demand one.
 	var buf bytes.Buffer
-	var err error
-	if s.opts.SnapshotV3 {
-		// Safe under the read lock even when the flat layout must be
-		// recompiled first: that compile is the searches' on-demand one.
-		err = s.tree.SaveSnapshotV3(&buf)
-	} else {
-		err = s.tree.SaveSnapshot(&buf)
-	}
+	err := s.tree.SaveSnapshot(&buf)
 	s.mu.RUnlock()
 	enc.End()
 	if err != nil {

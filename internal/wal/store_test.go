@@ -2,6 +2,7 @@ package wal
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tartree/internal/core"
@@ -314,13 +315,12 @@ func TestStorePendingSurviveCheckpoint(t *testing.T) {
 	assertTreesAgree(t, s2, referenceTree(t, cs, horizon), horizon)
 }
 
-// TestStoreCheckpointV3Recover: with StoreOptions.SnapshotV3 the checkpoint
-// is the flat v3 image; recovery loads it by section reads (the tree comes
+// TestStoreCheckpointV3Recover: the checkpoint is the flat v3 image; recovery loads it by section reads (the tree comes
 // back frozen), replays the WAL tail past it, and agrees exactly with an
 // unjournaled reference.
 func TestStoreCheckpointV3Recover(t *testing.T) {
 	fs := testFS(t)
-	opts := StoreOptions{SnapshotV3: true}
+	var opts StoreOptions
 	s, err := OpenStore(fs, newBaseTree, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -372,4 +372,36 @@ func TestStoreCheckpointV3Recover(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTreesAgree(t, s2, referenceTree(t, cs, horizon), horizon)
+}
+
+// TestStoreRejectsNonV3Checkpoint: a checkpoint that is not a snapshot-v3
+// image — a legacy gob checkpoint, or a stub shorter than the magic — fails
+// recovery with an error naming the file and the format. Recovery must not
+// panic and must not paper over the checkpoint by building from base: the
+// WAL segments it superseded are gone, so a base rebuild would silently
+// lose acknowledged check-ins.
+func TestStoreRejectsNonV3Checkpoint(t *testing.T) {
+	for name, img := range map[string]string{
+		"gob":   "\x7f\xff\x81\x03\x01\x01\x08snapshot\x01\xff\x82\x00\x01\x0b\x01\x07Version\x01\x04\x00",
+		"short": "TAR",
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := testFS(t)
+			if err := InstallCheckpoint(fs, 42, strings.NewReader(img)); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenStore(fs, func() (*core.Tree, error) {
+				t.Fatal("base tree built despite a checkpoint on disk")
+				return nil, nil
+			}, StoreOptions{})
+			if err == nil {
+				t.Fatal("non-v3 checkpoint accepted")
+			}
+			for _, want := range []string{CheckpointFileName(42), "snapshot-v3", "gob"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
 }

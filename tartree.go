@@ -219,8 +219,11 @@ func NewTraceBuffer(n int) *TraceBuffer { return obs.NewTraceBuffer(n) }
 // maxBytes for Options.Cache. maxBytes <= 0 returns nil, the no-op cache.
 func NewCache(maxBytes int64) *Cache { return aggcache.New(maxBytes) }
 
-// Load reconstructs a tree saved with (*Tree).SaveSnapshot. A nil factory
-// selects the default disk B+-tree TIAs.
+// Load reconstructs a tree saved with (*Tree).SaveSnapshot — a snapshot-v3
+// image, the only persistent format; the restored tree arrives with its
+// frozen layout installed and answers exactly like the saved one. Any other
+// input, including a legacy gob image, is rejected. A nil factory selects
+// the default disk B+-tree TIAs.
 func Load(r io.Reader, factory tia.Factory) (*Tree, error) {
 	return core.LoadSnapshot(r, factory)
 }
